@@ -1,25 +1,17 @@
 #!/usr/bin/env python
-"""Fault-supervision bench: what does the shard supervisor cost?
+"""Fault-supervision bench: what does recovering a killed shard cost?
 
-Two questions, one report fragment (DESIGN §11):
+A declarative ``kill_shard`` fault SIGKILLs one worker halfway through
+its simulation; the supervisor (DESIGN §11) retries it and the run
+completes. Reported as the wall-clock delta of the ``shard_simulate``
+stage against the clean supervised run — roughly the re-executed
+shard's work plus the (tiny, 0.05s base) backoff — minimum over
+``repeats`` runs of each, with every corpus digest checked
+byte-identical to the clean build, because a recovery that changes the
+corpus is not a recovery.
 
-- **Clean-run overhead.** The supervised process backend (one
-  supervised worker process per shard: exit/hang polling, stderr
-  capture, JSON result files) versus the injected-pool backend, whose
-  dispatch is a bare ``ProcessPoolExecutor.submit`` — the closest
-  surviving stand-in for the pre-supervision fan-out. The acceptance
-  criterion is <= 5% added wall time on the ``shard_simulate`` stage,
-  minimum over ``repeats`` runs of each backend.
-- **Cost of one recovered kill.** A declarative ``kill_shard`` fault
-  SIGKILLs one worker halfway through its simulation; the supervisor
-  retries it and the run completes. Reported as the wall-clock delta
-  against the clean supervised run — roughly the re-executed shard's
-  work plus the (tiny, 0.05s base) backoff — with the corpus digest
-  checked byte-identical to the clean build, because a recovery that
-  changes the corpus is not a recovery.
-
-No run carries a flight recorder: supervision overhead is measured on
-the uninstrumented path a production ``--shards`` run uses.
+No run carries a flight recorder: the cost is measured on the
+uninstrumented path a production ``--shards`` run uses.
 """
 
 from __future__ import annotations
@@ -29,12 +21,8 @@ import json
 import os
 
 from repro.experiment import ExperimentConfig, run_experiment
-from repro.experiment.sharding import shard_pool
 from repro.experiment.store import corpus_digest
 from repro.faults import FaultPlan, ProcessFault
-
-#: Clean-run supervision overhead acceptance bound (ISSUE PR 10).
-OVERHEAD_BUDGET = 0.05
 
 #: Fast backoff so the kill-retry number measures re-execution, not
 #: sleeping.
@@ -43,7 +31,7 @@ RETRY = {"max_attempts": 3, "base_delay": 0.05}
 
 def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
                        repeats: int = 3) -> dict:
-    """Measure supervision overhead + kill-retry cost; JSON fragment."""
+    """Measure the clean run and the kill-retry cost; JSON fragment."""
     config = ExperimentConfig(seed=seed, scale=scale, batch_emit=True,
                               retry_policy=RETRY)
 
@@ -56,24 +44,11 @@ def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
             base_digest = digest
         elif digest != base_digest:
             raise SystemExit("supervised sharded build is not "
-                             "deterministic — overhead numbers would be "
-                             "meaningless")
+                             "deterministic — retry-cost numbers would "
+                             "be meaningless")
         supervised = min(supervised,
                          result.stage_seconds["shard_simulate"])
         del result
-
-    pooled = float("inf")
-    for _ in range(repeats):
-        with shard_pool(num_shards) as pool:
-            result = run_experiment(config, shards=num_shards,
-                                    shard_executor=pool)
-        if corpus_digest(result.corpus) != base_digest:
-            raise SystemExit("pool-backend corpus diverged from the "
-                             "supervised one")
-        pooled = min(pooled, result.stage_seconds["shard_simulate"])
-        del result
-
-    overhead = supervised / pooled - 1.0
 
     # one SIGKILLed worker halfway through its simulation, retried once
     plan = FaultPlan(process_faults=(
@@ -96,10 +71,6 @@ def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
         "cpus": len(os.sched_getaffinity(0)),
         "clean": {
             "supervised_wall": round(supervised, 4),
-            "pool_wall": round(pooled, 4),
-            "supervision_overhead_fraction": round(overhead, 4),
-            "overhead_budget": OVERHEAD_BUDGET,
-            "within_budget": overhead <= OVERHEAD_BUDGET,
         },
         "kill_retry": {
             "wall": round(killed, 4),
@@ -108,13 +79,12 @@ def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
             "digest_matches_clean": True,
         },
         "methodology": (
-            "supervision_overhead_fraction = supervised process-backend "
-            "shard_simulate wall / injected-pool-backend wall - 1, "
-            "minimum over repeats, no flight recorder. kill_retry "
-            "SIGKILLs one worker at 50% of its simulated horizon via a "
-            "declarative kill_shard fault and reports the wall delta of "
-            "the recovered run; its corpus is digest-checked against "
-            "the clean build."),
+            "shard_simulate wall, minimum over repeats, no flight "
+            "recorder. kill_retry SIGKILLs one worker at 50% of its "
+            "simulated horizon via a declarative kill_shard fault and "
+            "reports the wall delta of the recovered run against the "
+            "clean one; its corpus is digest-checked against the clean "
+            "build."),
     }
 
 

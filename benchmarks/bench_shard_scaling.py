@@ -13,12 +13,16 @@ over that critical path.
 
 Measurement discipline (the numbers are meaningless without it):
 
-- **Every worker runs alone in a fresh process.** Each shard task gets a
-  single-use fork pool, one task at a time, so per-shard CPU seconds
-  (``time.process_time`` inside the worker) include genuine per-process
-  costs (allocator growth, cache warm-up) but exclude core contention —
-  on a box with fewer cores than shards, concurrent workers time-slice
-  and their CPU clocks measure cache thrash, not the builder.
+- **Per-worker CPU, not wall.** Every sharded run is the default
+  supervised build: one fresh worker process per shard, all running at
+  once. Per-shard CPU seconds (``stage_cpu_seconds`` in each
+  ``shard_stats`` entry, ``time.process_time`` inside the worker)
+  include genuine per-process costs (allocator growth, cache warm-up)
+  and exclude the time a worker waits for a core, so they stay
+  meaningful on a box with fewer cores than shards — where the
+  coordinator's wall time measures OS time-slicing. Cache contention
+  between co-running workers still inflates them slightly, so the
+  critical path is conservative there.
 - **The unsharded timing run carries no flight recorder.** Workers skip
   their recorder when the coordinator has none, so reusing a
   recorder-instrumented baseline would inflate the speedup. The
@@ -39,34 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from concurrent.futures import Executor, Future
 
 from repro.experiment import ExperimentConfig, run_experiment
-from repro.experiment.sharding import shard_pool
 from repro.experiment.store import corpus_digest
 
 SHARD_COUNTS = (1, 2, 4)
 SIM_STAGES = ("simulate", "flush_batches")
-
-
-class FreshWorkerExecutor(Executor):
-    """Runs each submitted task alone, in its own fresh worker process.
-
-    A single-use one-worker fork pool per task gives every shard a cold
-    process (as a real ``--shards`` run would on a many-core machine)
-    while never running two workers concurrently — the serialization is
-    what keeps per-shard CPU clocks honest on a small box.
-    """
-
-    def submit(self, fn, /, *args, **kwargs):
-        future: Future = Future()
-        with shard_pool(1) as pool:
-            inner = pool.submit(fn, *args, **kwargs)
-            try:
-                future.set_result(inner.result())
-            except BaseException as exc:  # pragma: no cover - worker crash
-                future.set_exception(exc)
-        return future
 
 
 def _min_merge(target: list[float], values: list[float]) -> list[float]:
@@ -110,8 +92,7 @@ def bench_shard_scaling(seed: int, scale: float,
         per_shard: list[float] = []
         wall = float("inf")
         for _ in range(repeats):
-            result = run_experiment(config, shards=count,
-                                    shard_executor=FreshWorkerExecutor())
+            result = run_experiment(config, shards=count)
             if corpus_digest(result.corpus) != base_digest:
                 raise SystemExit(
                     f"shards={count} corpus diverged from the unsharded "
@@ -142,11 +123,12 @@ def bench_shard_scaling(seed: int, scale: float,
         "methodology": (
             "speedup = unsharded simulate+flush_batches seconds / "
             "(coordinator record_timeline CPU + max over workers of "
-            "per-shard simulate+flush_batches CPU). Workers run one at "
-            "a time, each in a fresh process, so their process clocks "
-            "measure uncontended per-shard work including per-process "
-            "warm-up; all components take the minimum over repeats and "
-            "no run carries a flight recorder. The critical path is the "
+            "per-shard simulate+flush_batches CPU). Workers run "
+            "concurrently under the default supervisor, each in a fresh "
+            "process, so their process clocks measure per-shard work "
+            "including per-process warm-up but not waits for a core; "
+            "all components take the minimum over repeats and no run "
+            "carries a flight recorder. The critical path is the "
             "simulate-stage latency on a machine with >= shards free "
             "cores; coordinator wall time on a smaller box measures OS "
             "time-slicing, not the builder."),

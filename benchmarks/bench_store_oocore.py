@@ -20,6 +20,15 @@ The v2 ``slice`` row also reports ``bytes_opened / bytes_total`` from
 the chunk accounting — the <30%-of-corpus-bytes criterion — and the
 ``load``/``slice`` RSS ratio v1:v2 is the ≥2× criterion.
 
+``cold_table2`` is a wall-clock gate: a cold Table 2 (fresh load plus
+fresh analysis) over the v2 store must take at most
+``1.05 × v1 + 0.05s``. Both formats run once to warm the page cache and
+allocator, then alternate ``repeats`` times, and the gate compares the
+minimum of each, so drift in machine load hits both sides alike.
+Standalone runs exit 1 when the gate fails. The deterministic side of
+the same claim — v2 opens each chunk once and maps exactly the
+manifest's bytes — is asserted in tier-1 (``tests/test_store_v2.py``).
+
 Standalone::
 
     PYTHONPATH=src python benchmarks/bench_store_oocore.py --scale 1.0
@@ -37,6 +46,10 @@ import time
 from pathlib import Path
 
 _CHILD_MODES = ("load", "slice", "full")
+
+#: cold v2 table2 may take at most ``RATIO x v1 + SLACK`` seconds.
+COLD_TABLE2_RATIO = 1.05
+COLD_TABLE2_SLACK = 0.05
 
 
 def _peak_rss_kb() -> int:
@@ -122,13 +135,39 @@ def _measure(mode: str, path: Path) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def cold_table2_gate(root: Path, repeats: int = 3) -> dict:
+    """Interleaved min-of-``repeats`` cold Table 2 over v1 vs v2."""
+    from repro.analysis.context import CorpusAnalysis
+    from repro.analysis.tables import table2
+    from repro.experiment.store import load_corpus
+
+    def cold(fmt: str) -> float:
+        seconds, _ = _timed(
+            lambda: table2(CorpusAnalysis(load_corpus(root / fmt))))
+        return seconds
+
+    formats = ("v1", "v2")
+    for fmt in formats:
+        cold(fmt)  # warm the page cache and allocator
+    best = {fmt: float("inf") for fmt in formats}
+    for _ in range(repeats):
+        for fmt in formats:
+            best[fmt] = min(best[fmt], cold(fmt))
+    bound = COLD_TABLE2_RATIO * best["v1"] + COLD_TABLE2_SLACK
+    return {"v1": round(best["v1"], 4), "v2": round(best["v2"], 4),
+            "bound": round(bound, 4), "repeats": repeats,
+            "within_bound": best["v2"] <= bound}
+
+
 def bench_store_oocore(corpus, workdir: str | Path | None = None,
-                       chunk_rows: int | None = None) -> dict:
+                       chunk_rows: int | None = None,
+                       repeats: int = 3) -> dict:
     """Save ``corpus`` as v1 and v2 and run the subprocess matrix.
 
     ``chunk_rows=None`` picks ~32 chunks for the largest telescope, so
     the pushdown fraction reflects chunking rather than one
     chunk-covers-everything degenerate layout at small bench scales.
+    ``repeats`` sets the interleaved runs of the cold-table2 gate.
     """
     from repro.experiment.store import save_corpus
 
@@ -166,6 +205,7 @@ def bench_store_oocore(corpus, workdir: str | Path | None = None,
                     1, row["peak_rss_kb"] - baseline_kb)
                 report[fmt][mode] = row
 
+        report["cold_table2"] = cold_table2_gate(root, repeats)
         sliced = report["v2"]["slice"]
         report["criteria"] = {
             # like-for-like: store working set of the phase-sliced query
@@ -181,6 +221,8 @@ def bench_store_oocore(corpus, workdir: str | Path | None = None,
             "cold_load_speedup": round(
                 report["v1"]["load"]["load_seconds"]
                 / report["v2"]["load"]["load_seconds"], 2),
+            "cold_table2_within_bound":
+                report["cold_table2"]["within_bound"],
         }
         return report
     finally:
@@ -206,6 +248,7 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--chunk-rows", type=int, default=None)
+    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
     if args.child is not None:
@@ -217,8 +260,11 @@ def main() -> None:
           f"scale={args.scale}) ...")
     result = run_experiment(ExperimentConfig(
         seed=args.seed, scale=args.scale, batch_emit=True))
-    report = bench_store_oocore(result.corpus, chunk_rows=args.chunk_rows)
+    report = bench_store_oocore(result.corpus, chunk_rows=args.chunk_rows,
+                                repeats=args.repeats)
     print(json.dumps(report, indent=1))
+    if not report["cold_table2"]["within_bound"]:
+        raise SystemExit("cold v2 table2 exceeded 1.05 x v1 + 0.05s")
 
 
 if __name__ == "__main__":

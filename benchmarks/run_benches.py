@@ -15,24 +15,24 @@ production throughput:
   path (kept as the correctness oracle);
 - ``tables`` — per-table generation (Tables 2-8) on a warm analysis,
   fanned out over ``--jobs`` worker threads (default serial);
-- ``robustness`` — the same campaign with crash-safe checkpointing at
-  the default cadence and budget, reporting the setup-snapshot cost and
-  the in-simulate snapshot overhead (which the budget guard must keep
-  under 5% of the simulate stage);
+- ``robustness`` — the same campaign as a checkpointed (one-shard)
+  build, reporting what its restart state costs: the setup snapshot
+  and the ``shards.json`` manifest, each in seconds and bytes, and
+  their share of the build's wall time (see ``bench_faults.py``);
 - ``shard_scaling`` — the sharded multi-process builder at 1/2/4
   shards vs a fresh uninstrumented unsharded build (digest-checked
   byte-identical), reporting the critical path (coordinator recording
   pass CPU + worst worker simulate+flush CPU, each worker alone in a
   fresh process) and speedup (see ``bench_shard_scaling.py`` for the
   methodology);
-- ``shard_faults`` — the shard supervisor's clean-run overhead
-  (supervised process backend vs a bare pool, acceptance <= 5%) and
-  the wall cost of recovering one SIGKILLed worker via retry,
-  digest-checked (see ``bench_shard_faults.py``);
+- ``shard_faults`` — the wall cost of recovering one SIGKILLed shard
+  worker via retry against a clean supervised run, digest-checked
+  (see ``bench_shard_faults.py``);
 - ``store_oocore`` — the v1 eager-npz vs v2 chunked-mmap store matrix
   (cold load, phase-sliced query, full materialization, each in a
   fresh subprocess), with the acceptance criteria — peak-RSS ratios,
-  sliced-bytes fraction, cold-load speedup — under ``criteria`` (see
+  sliced-bytes fraction, cold-load speedup, and the cold-table2 gate
+  (v2 within 5% of v1) — under ``criteria`` (see
   ``bench_store_oocore.py`` for the methodology);
 - ``obs_server`` — /metrics and /status scrape latency of the live obs
   HTTP server under many concurrent clients (see
@@ -78,8 +78,8 @@ from repro.analysis.context import CorpusAnalysis
 from repro.analysis.parallel import fan_out
 from repro.core.aggregation import AggregationLevel
 from repro.experiment import ExperimentConfig, Phase, run_experiment
-from repro.experiment.checkpoint import list_checkpoints
 
+from bench_faults import checkpoint_cost
 from bench_obs_server import bench_obs_server
 from bench_shard_faults import bench_shard_faults
 from bench_shard_scaling import bench_shard_scaling
@@ -209,9 +209,8 @@ def main() -> None:
                              "full campaigns: unsharded + 1/2/4 shards, "
                              "twice each)")
     parser.add_argument("--skip-shard-faults", action="store_true",
-                        help="skip the shard-supervision overhead / "
-                             "kill-retry bench (several extra sharded "
-                             "campaigns)")
+                        help="skip the shard kill-retry bench (several "
+                             "extra sharded campaigns)")
     parser.add_argument("--skip-store", action="store_true",
                         help="skip the out-of-core store matrix (one v1 + "
                              "one v2 save plus seven measurement "
@@ -281,27 +280,15 @@ def main() -> None:
     robustness = None
     if not args.skip_robustness:
         with tempfile.TemporaryDirectory() as ckdir:
-            ck_seconds, ck_result = time_call(
-                lambda: run_experiment(
-                    ExperimentConfig(seed=args.seed, scale=args.scale,
-                                     batch_emit=True),
-                    checkpoint_dir=ckdir))
-            kept = len(list_checkpoints(ckdir))
-        sim = ck_result.stage_seconds["simulate"]
-        in_sim = ck_result.stage_seconds["checkpoint"]
-        setup = ck_result.stage_seconds["checkpoint_setup"]
-        overhead = in_sim / max(sim - in_sim, 1e-9)
-        robustness = {
-            "checkpointed_build": round(ck_seconds, 4),
-            "checkpoint_setup": round(setup, 4),
-            "checkpoint_in_simulate": round(in_sim, 4),
-            "checkpoint_overhead_fraction": round(overhead, 4),
-            "checkpoints_kept": kept,
-        }
-        print(f"  checkpointed build: {ck_seconds:.2f}s (setup snapshot "
-              f"{setup:.2f}s, in-simulate overhead {overhead:.2%}, "
-              f"{kept} checkpoints kept)")
-        del ck_result
+            robustness = checkpoint_cost(
+                ExperimentConfig(seed=args.seed, scale=args.scale,
+                                 batch_emit=True), ckdir)[0]
+        print(f"  checkpointed build: {robustness['checkpointed_build']:.2f}s"
+              f" (setup snapshot {robustness['setup_snapshot_seconds']:.4f}s"
+              f" / {robustness['setup_snapshot_bytes']:,} B, manifest "
+              f"{robustness['manifest_seconds']:.4f}s / "
+              f"{robustness['manifest_bytes']:,} B, restart state "
+              f"{robustness['restart_state_fraction']:.3%} of the build)")
         stage_rss["robustness"] = _peak_rss_kb()
 
     shard_scaling = None
@@ -319,15 +306,11 @@ def main() -> None:
 
     shard_faults = None
     if not args.skip_shard_faults:
-        print("  shard supervision overhead + kill-retry cost ...")
+        print("  shard kill-retry cost ...")
         shard_faults = bench_shard_faults(args.seed, args.scale)
         clean = shard_faults["clean"]
         retry = shard_faults["kill_retry"]
-        print(f"    clean run: supervised {clean['supervised_wall']:.2f}s "
-              f"vs pool {clean['pool_wall']:.2f}s "
-              f"({clean['supervision_overhead_fraction']:+.2%} overhead, "
-              f"budget {clean['overhead_budget']:.0%}"
-              f"{'' if clean['within_budget'] else ' EXCEEDED'})")
+        print(f"    clean run: {clean['supervised_wall']:.2f}s")
         print(f"    one killed worker: {retry['wall']:.2f}s "
               f"(+{retry['retry_cost_seconds']:.2f}s to recover, "
               "digest byte-identical)")
@@ -343,6 +326,10 @@ def main() -> None:
         print(f"    phase slice: RSS ratio "
               f"{criteria['peak_rss_ratio_slice']}x, touches "
               f"{criteria['sliced_bytes_fraction']:.1%} of store bytes")
+        gate = store_oocore["cold_table2"]
+        print(f"    cold table2: v2 {gate['v2']:.3f}s vs v1 "
+              f"{gate['v1']:.3f}s (bound {gate['bound']:.3f}s"
+              f"{'' if gate['within_bound'] else ', EXCEEDED'})")
         stage_rss["store_oocore"] = _peak_rss_kb()
 
     obs_server = None

@@ -12,20 +12,12 @@ failures — a figure racing a cache fill, an OS hiccup — usually clear on
 the second attempt), and if the retry also fails the task runs once more
 serially outside the pool before its exception propagates. Each recovery
 step bumps an ``analysis.fanout_*`` counter so flakes are visible.
-
-Callers that already own a pool (the sharded corpus builder, a CLI run
-doing several fan-outs) can inject it via ``executor=`` instead of
-paying pool startup per call. The injected executor may be a thread or a
-process pool; the per-task wrapper is a module-level function, so the
-submission itself always pickles — with a *process* pool the tasks
-themselves must be picklable too (module-level callables or partials,
-not lambdas or closures).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping
 
 from repro import obs
@@ -46,12 +38,7 @@ def _run_once(name: str, fn: Callable[[], object], jobs: int,
 
 def _run_with_retry(name: str, fn: Callable[[], object], jobs: int) \
         -> tuple[float, object]:
-    """One task with its bounded in-pool retry.
-
-    Module-level (not a closure) so an injected process pool can pickle
-    the submission. Inside a process-pool worker the retry counter lands
-    in the worker's registry — fold it back explicitly if it matters.
-    """
+    """One task with its bounded in-pool retry."""
     try:
         return _run_once(name, fn, jobs, attempt=1)
     except Exception:
@@ -61,30 +48,22 @@ def _run_with_retry(name: str, fn: Callable[[], object], jobs: int) \
 
 
 def fan_out(tasks: Mapping[str, Callable[[], object]],
-            jobs: int = 1,
-            executor: Executor | None = None) \
-        -> dict[str, tuple[float, object]]:
+            jobs: int = 1) -> dict[str, tuple[float, object]]:
     """Run named zero-arg tasks, optionally across ``jobs`` workers.
 
     Returns ``{name: (seconds, result)}`` in the tasks' insertion order
     regardless of completion order, so callers render deterministically.
     A task that keeps failing after one bounded retry and a final serial
     fallback propagates its last exception.
-
-    ``executor`` injects a shared pool (thread or process) instead of
-    spinning up a private thread pool; it is left running for the caller
-    to reuse and eventually shut down.
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be >= 1, got {jobs}")
 
-    if executor is None and (jobs == 1 or len(tasks) <= 1):
+    if jobs == 1 or len(tasks) <= 1:
         return {name: _run_with_retry(name, fn, jobs)
                 for name, fn in tasks.items()}
 
-    pool = executor if executor is not None \
-        else ThreadPoolExecutor(max_workers=jobs)
-    try:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = {name: pool.submit(_run_with_retry, name, fn, jobs)
                    for name, fn in tasks.items()}
         results: dict[str, tuple[float, object]] = {}
@@ -94,9 +73,6 @@ def fan_out(tasks: Mapping[str, Callable[[], object]],
                 results[name] = future.result()
             except Exception:
                 failed[name] = tasks[name]
-    finally:
-        if executor is None:
-            pool.shutdown(wait=True)
     for name, fn in failed.items():
         # last resort: run the crashed task serially, outside the pool,
         # so one bad worker interaction cannot sink the whole fan-out

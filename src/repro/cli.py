@@ -67,8 +67,8 @@ def _add_obs_flags(cmd: argparse.ArgumentParser) -> None:
                           "command runs (0 = ephemeral)")
     cmd.add_argument("--events", metavar="PATH", default=None,
                      help="append the structured run-event log (JSONL: "
-                          "stage transitions, heartbeats, checkpoints, "
-                          "faults, quarantines) to this file")
+                          "stage transitions, heartbeats, shard manifest "
+                          "records, faults, quarantines) to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,23 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="arm a fault-injection plan (blackouts, "
                               "BGP flaps, packet loss) from a JSON file")
         cmd.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                         help="write crash-safe checkpoints to this "
-                              "directory while simulating")
-        cmd.add_argument("--checkpoint-every", metavar="SIMSECS",
-                         type=float, default=None,
-                         help="sim-time between checkpoints "
-                              "(default: one simulated week)")
-        cmd.add_argument("--checkpoint-budget", metavar="FRAC",
-                         type=float, default=0.05,
-                         help="cap checkpoint overhead at this fraction "
-                              "of wall time, skipping boundaries over "
-                              "budget (default 0.05; 0 writes every "
-                              "boundary)")
+                         help="make the run resumable: persist a setup "
+                              "snapshot, a manifest of completed shards "
+                              "and their spill in this directory. "
+                              "Without --shards the run is one shard; "
+                              "more shards give finer restart points")
         cmd.add_argument("--resume", action="store_true",
-                         help="continue from --checkpoint-dir instead of "
-                              "starting fresh: the newest valid snapshot "
-                              "of an unsharded run, or (sharded) only "
-                              "the shards the manifest shows incomplete")
+                         help="continue the run in --checkpoint-dir "
+                              "instead of starting fresh: only the "
+                              "shards its manifest shows incomplete "
+                              "re-run")
         cmd.add_argument("--shards", metavar="N|auto", default=None,
                          help="build the corpus with N supervised "
                               "worker processes ('auto' = one per CPU); "
@@ -241,14 +234,11 @@ def _simulate(args: argparse.Namespace):
         weeks = config.duration / WEEK
         log.info("simulating %.0f weeks at scale %s (seed %s) ...",
                  weeks, args.scale, args.seed)
-        budget = getattr(args, "checkpoint_budget", 0.05)
         shards = getattr(args, "shards", None)
         if shards is not None:
             log.info("sharded build: --shards %s", shards)
         result = run_experiment(
             config, faults=faults, checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=getattr(args, "checkpoint_every", None),
-            checkpoint_budget=budget if budget > 0 else None,
             shards=shards, run_id=run_id, ledger_dir=ledger_dir)
     log.info("done in %.1fs: %s packets",
              result.wall_seconds, f"{result.corpus.total_packets():,}")

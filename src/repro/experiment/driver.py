@@ -18,7 +18,6 @@ otherwise a private throwaway tracer measures the same stages so
 
 from __future__ import annotations
 
-import math
 import shutil
 import tempfile
 import time as _time
@@ -86,23 +85,14 @@ class ExperimentResult:
 #: Stage names, in execution order, as they appear in ``stage_seconds``
 #: and as ``driver.<stage>`` tracing spans. When a fault plan is armed an
 #: extra ``install_faults`` stage runs (and is timed) between
-#: ``schedule_scanners`` and ``simulate``. A sharded run (``shards=``)
-#: replaces ``simulate`` and ``flush_batches`` with a coordinator
-#: ``record_timeline`` stage (the infrastructure-only recording pass)
-#: followed by one ``shard_simulate`` stage covering the whole worker
-#: fan-out; the per-worker breakdown lands in
-#: :attr:`ExperimentResult.shard_stats`.
+#: ``schedule_scanners`` and ``simulate``. A sharded run (``shards=``,
+#: or any run with a ``checkpoint_dir``) replaces ``simulate`` and
+#: ``flush_batches`` with a coordinator ``record_timeline`` stage (the
+#: infrastructure-only recording pass) followed by one
+#: ``shard_simulate`` stage covering the whole worker fan-out; the
+#: per-worker breakdown lands in :attr:`ExperimentResult.shard_stats`.
 STAGES = ("build_deployment", "build_population", "schedule_scanners",
           "simulate", "flush_batches", "package_corpus")
-
-#: Default sim-time between checkpoints: one simulated week.
-DEFAULT_CHECKPOINT_INTERVAL = 7 * 86400.0
-
-#: Default wall-clock overhead budget for checkpointing: snapshot writes
-#: may consume at most this fraction of the run's wall time; boundaries
-#: that would exceed it are skipped (the corpus is unaffected — only the
-#: set of persisted restart points shrinks).
-DEFAULT_CHECKPOINT_BUDGET = 0.05
 
 _log = obs.log.get_logger("driver")
 
@@ -111,15 +101,14 @@ _log = obs.log.get_logger("driver")
 def _stage(tracer, name, stage_seconds, **attrs):
     """One driver stage: a tracing span bracketed by run events.
 
-    Accumulates into ``stage_seconds[name]`` (the simulate stage of a
-    resumed run adds to the pre-crash figure restored from the
-    checkpoint). Event emission is a no-op unless an
-    :class:`~repro.obs.events.EventLog` is installed.
+    Records the span's duration as ``stage_seconds[name]``. Event
+    emission is a no-op unless an :class:`~repro.obs.events.EventLog`
+    is installed.
     """
     obs.event("stage.start", stage=name, **attrs)
     with tracer.span(f"driver.{name}", **attrs) as sp:
         yield sp
-    stage_seconds[name] = stage_seconds.get(name, 0.0) + sp.duration
+    stage_seconds[name] = sp.duration
     obs.event("stage.end", stage=name, seconds=round(sp.duration, 4))
 
 
@@ -162,12 +151,8 @@ def run_experiment(config: ExperimentConfig | None = None,
                    registry: ASRegistry | None = None,
                    faults: FaultInjector | FaultPlan | None = None,
                    checkpoint_dir: str | Path | None = None,
-                   checkpoint_interval: float | None = None,
-                   checkpoint_keep: int = 2,
-                   checkpoint_budget: float | None = DEFAULT_CHECKPOINT_BUDGET,
                    after_checkpoint=None,
                    shards: int | str | None = None,
-                   shard_executor=None,
                    run_id: str | None = None,
                    ledger_dir: str | Path | None = None) -> ExperimentResult:
     """Run one full measurement campaign and return its result.
@@ -175,15 +160,6 @@ def run_experiment(config: ExperimentConfig | None = None,
     ``faults`` arms a :class:`repro.faults.FaultPlan` (or a prebuilt
     injector) on the deployment before the simulation starts; an empty
     plan leaves the run byte-identical to a fault-free one.
-
-    ``checkpoint_dir`` enables crash-safe snapshots every
-    ``checkpoint_interval`` simulated seconds (default one week); a
-    killed run continues from the newest valid snapshot via
-    :func:`resume_experiment` and produces a corpus identical to the
-    uninterrupted run. ``checkpoint_budget`` caps snapshot overhead at
-    that fraction of wall time (boundaries over budget are skipped;
-    ``None`` writes every boundary). ``after_checkpoint`` is called with
-    each written path (test hook).
 
     ``shards`` (an int or ``"auto"``) partitions the scanner population
     across that many worker processes, each running its own event loop
@@ -195,14 +171,16 @@ def run_experiment(config: ExperimentConfig | None = None,
     per-shard timeouts derived from ``config.shard_timeout`` and the
     LPT cost model), and ``config.on_shard_failure`` picks between a
     terminal :class:`~repro.errors.ShardError` and quarantining the
-    shard as coverage gaps. Combined with ``checkpoint_dir``, shard
-    completions persist to a crash-safe ``shards.json`` manifest plus
-    on-disk spill segments, and :func:`resume_experiment` re-runs only
-    the shards that had not completed (DESIGN §11). ``shard_executor``
-    injects a reusable process pool (see
-    :func:`repro.experiment.sharding.shard_pool`) — supervision then
-    loses hang timeouts (a pool gives no per-worker kill handle) but
-    keeps retry and serial-fallback behavior.
+    shard as coverage gaps.
+
+    ``checkpoint_dir`` makes the run resumable at shard granularity
+    (DESIGN §7, §11): a setup snapshot, a crash-safe ``shards.json``
+    manifest of completed shards and their spill segments persist in
+    the directory, and :func:`resume_experiment` re-runs only the
+    shards that had not completed. Without ``shards`` a checkpointed
+    run is a one-shard build (``shards=1``) — use more shards for finer
+    restart points. ``after_checkpoint`` is called with the manifest
+    path after each shard completion is recorded (test hook).
 
     ``ledger_dir`` records the run in the durable run ledger
     (:mod:`repro.obs.ledger`): a ``run.json`` manifest with config and
@@ -214,20 +192,21 @@ def run_experiment(config: ExperimentConfig | None = None,
     started = _time.monotonic()
     if config is None:
         config = ExperimentConfig()
+    if shards is None and checkpoint_dir is not None:
+        shards = 1
     recorder = obs.current()
     tracer = recorder.tracer if recorder is not None else obs.Tracer()
     stage_seconds: dict[str, float] = {}
     plan = faults.plan if isinstance(faults, FaultInjector) else faults
     obs.event("run.start", seed=config.seed, scale=config.scale,
-              duration=config.duration,
-              shards=shards if shards is not None else None,
+              duration=config.duration, shards=shards,
               faults=plan is not None)
 
     if shards is not None:
         from repro.experiment import sharding
         num_shards = sharding.resolve_shards(shards)
         result = _run_sharded(config, registry, faults, num_shards,
-                              shard_executor, tracer, recorder, started,
+                              tracer, recorder, started,
                               run_id=run_id,
                               checkpoint_dir=checkpoint_dir,
                               after_checkpoint=after_checkpoint)
@@ -282,35 +261,62 @@ def run_experiment(config: ExperimentConfig | None = None,
                 _register_rdns(deployment, scanner)
                 scanner.start(context)
 
-        injector: FaultInjector | None = None
         if faults is not None:
             injector = faults if isinstance(faults, FaultInjector) \
                 else FaultInjector(faults, seed=config.seed)
             with _stage(tracer, "install_faults", stage_seconds):
                 injector.install(deployment)
 
-        manager: ckpt.CheckpointManager | None = None
-        if checkpoint_dir is not None:
-            manager = ckpt.CheckpointManager(
-                Path(checkpoint_dir),
-                checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL,
-                keep=checkpoint_keep, after_write=after_checkpoint,
-                overhead_budget=checkpoint_budget)
-            # initial restart point, outside the simulate stage: resume
-            # skips the build stages entirely, and its measured cost
-            # seeds the overhead-budget projection for the simulate loop
-            with _stage(tracer, "checkpoint_setup", stage_seconds):
-                _write_snapshot(config, registry, deployment, population,
-                                context, injector, manager, stage_seconds)
+        if recorder is not None:
+            recorder.attach(deployment.simulator, config.duration)
+        try:
+            with _stage(tracer, "simulate", stage_seconds,
+                        horizon=config.duration):
+                deployment.simulator.run_until(config.duration)
+        finally:
+            if recorder is not None:
+                recorder.detach(deployment.simulator)
 
-        result = _finish_run(config, registry, deployment, population,
-                             context, injector, manager, stage_seconds,
-                             tracer, recorder, started)
+        if batch_emit:
+            # sessions only *resolved* during the run materialize now,
+            # one cross-session kernel call per scanner
+            with _stage(tracer, "flush_batches", stage_seconds):
+                context.flush_batches()
+
+        with _stage(tracer, "package_corpus", stage_seconds):
+            # batch runs package columns only — Packet objects
+            # materialize lazily if an analysis asks for them
+            packets_by = None if batch_emit else {
+                name: telescope.capture.packets()
+                for name, telescope in deployment.telescopes.items()}
+            corpus = PacketCorpus(
+                config=config,
+                packets_by_telescope=packets_by,
+                tables_by_telescope={
+                    name: telescope.capture.table()
+                    for name, telescope in deployment.telescopes.items()},
+                schedule=deployment.cycles(),
+                registry=registry,
+                resolver=deployment.resolver,
+                t1_prefix=T1_PREFIX,
+                t2_prefix=T2_PREFIX,
+                t3_prefix=T3_PREFIX,
+                t4_prefix=T4_PREFIX,
+                attractor_addr=deployment.productive.attractor_addr,
+                coverage_gaps={
+                    name: tuple(telescope.capture.blackout_windows)
+                    for name, telescope in deployment.telescopes.items()
+                    if telescope.capture.blackout_windows})
+
+    result = ExperimentResult(
+        corpus=corpus, deployment=deployment, population=population,
+        context=context, wall_seconds=_time.monotonic() - started,
+        stage_seconds=stage_seconds)
     _record_run(result, config, run_id, ledger_dir, fault_plan=plan)
     return result
 
 
-def _run_sharded(config, registry, faults, num_shards, shard_executor,
+def _run_sharded(config, registry, faults, num_shards,
                  tracer, recorder, started,
                  run_id: str | None = None,
                  checkpoint_dir: str | Path | None = None,
@@ -392,7 +398,6 @@ def _run_sharded(config, registry, faults, num_shards, shard_executor,
             for scanner in population:
                 _register_rdns(deployment, scanner)
 
-        injector: FaultInjector | None = None
         if plan is not None:
             injector = faults if isinstance(faults, FaultInjector) \
                 else FaultInjector(plan, seed=config.seed)
@@ -436,8 +441,8 @@ def _run_sharded(config, registry, faults, num_shards, shard_executor,
             spill_root = ckpt_root / "shards"
             if not resume:
                 # a fresh run never trusts leftover sharded state in
-                # its directory (symmetric with unsharded semantics:
-                # only resume_experiment continues a previous run)
+                # its directory: only resume_experiment continues a
+                # previous run
                 shutil.rmtree(spill_root, ignore_errors=True)
                 (ckpt_root / sharding.MANIFEST_NAME).unlink(
                     missing_ok=True)
@@ -501,7 +506,7 @@ def _run_sharded(config, registry, faults, num_shards, shard_executor,
                             shards=num_shards):
                     shard_results = sharding.run_shards(
                         config, plan, num_shards, spill,
-                        executor=shard_executor, feed=feed,
+                        feed=feed,
                         record_obs=recorder is not None,
                         obs_spool=spool,
                         run_id=(event_log.run_id
@@ -609,69 +614,19 @@ def resume_experiment(checkpoint_dir: str | Path,
                       run_id: str | None = None,
                       ledger_dir: str | Path | None = None) \
         -> ExperimentResult:
-    """Continue a killed campaign from its newest valid checkpoint.
-
-    Restores the whole simulation graph (clock, pending events, RNG
-    streams, partial captures, deferred batches) and runs it to the
-    horizon, continuing to checkpoint at the original cadence. The
-    resulting corpus is byte-identical to the one an uninterrupted run
-    would have produced.
-
-    A *sharded* checkpoint directory (recognized by its setup snapshot,
-    see :data:`repro.experiment.sharding.SETUP_NAME`) resumes at shard
-    granularity instead: the coordinator's recording pass re-runs
-    deterministically, shards recorded complete in ``shards.json`` are
-    restored from their on-disk spill segments, and only the missing
-    shards execute — with the same byte-identical corpus guarantee.
-    """
-    started = _time.monotonic()
-    from repro.experiment import sharding
-    if (Path(checkpoint_dir) / sharding.SETUP_NAME).exists():
-        return _resume_sharded(checkpoint_dir, after_checkpoint,
-                               run_id, ledger_dir, started)
-    path, state = ckpt.latest_checkpoint(checkpoint_dir)
-    config = state["config"]
-    deployment = state["deployment"]
-    recorder = obs.current()
-    tracer = recorder.tracer if recorder is not None else obs.Tracer()
-    manager = ckpt.CheckpointManager(
-        Path(checkpoint_dir),
-        state.get("checkpoint_interval", DEFAULT_CHECKPOINT_INTERVAL),
-        keep=state.get("checkpoint_keep", 2),
-        after_write=after_checkpoint,
-        overhead_budget=state.get("checkpoint_budget",
-                                  DEFAULT_CHECKPOINT_BUDGET))
-    manager.seed_cost(state.get("checkpoint_last_cost", 0.0))
-    obs.add("checkpoint.resumes_total")
-    obs.event("run.resume", checkpoint=path.name,
-              sim_time=deployment.simulator.now,
-              horizon=config.duration)
-    _log.info("resuming from %s at t=%.0f (horizon %.0f)", path.name,
-              deployment.simulator.now, config.duration)
-    with tracer.span("driver.resume_experiment",
-                     sim_time=deployment.simulator.now,
-                     checkpoint=path.name):
-        result = _finish_run(config, state["registry"], deployment,
-                             state["population"], state["context"],
-                             state.get("faults"), manager,
-                             dict(state.get("stage_seconds", {})),
-                             tracer, recorder, started)
-    injector = state.get("faults")
-    _record_run(result, config, run_id, ledger_dir,
-                fault_plan=injector.plan if injector is not None else None)
-    return result
-
-
-def _resume_sharded(checkpoint_dir, after_checkpoint, run_id, ledger_dir,
-                    started) -> ExperimentResult:
-    """Shard-granular resume of a killed sharded campaign.
+    """Continue a killed checkpointed campaign at shard granularity.
 
     Everything a worker needs is a pure function of ``(config, plan,
-    num_shards)``, so the coordinator re-derives the deployment replica
-    and the recorded routing timeline instead of unpickling a live
-    graph; the ``shards.json`` manifest then decides which shards are
-    already done.
+    num_shards)``, read back from the setup snapshot (see
+    :data:`repro.experiment.sharding.SETUP_NAME`), so the coordinator
+    re-derives the deployment replica and re-runs the deterministic
+    recording pass instead of unpickling a live graph. Shards recorded
+    complete in ``shards.json`` are restored from their on-disk spill
+    segments and only the missing shards execute; the resulting corpus
+    is byte-identical to the one an uninterrupted run would have
+    produced.
     """
+    started = _time.monotonic()
     from repro.experiment import sharding
     state = ckpt.read_checkpoint(
         Path(checkpoint_dir) / sharding.SETUP_NAME)
@@ -685,7 +640,7 @@ def _resume_sharded(checkpoint_dir, after_checkpoint, run_id, ledger_dir,
               shards=num_shards, horizon=config.duration)
     _log.info("resuming sharded run from %s (%d shards, horizon %.0f)",
               checkpoint_dir, num_shards, config.duration)
-    result = _run_sharded(config, None, plan, num_shards, None,
+    result = _run_sharded(config, None, plan, num_shards,
                           tracer, recorder, started, run_id=run_id,
                           checkpoint_dir=checkpoint_dir,
                           after_checkpoint=after_checkpoint,
@@ -693,116 +648,6 @@ def _resume_sharded(checkpoint_dir, after_checkpoint, run_id, ledger_dir,
     _record_run(result, config, run_id, ledger_dir,
                 fault_plan=plan, shards=num_shards)
     return result
-
-
-def _finish_run(config, registry, deployment, population, context,
-                injector, manager, stage_seconds, tracer, recorder,
-                started) -> ExperimentResult:
-    """Simulate to the horizon, flush, and package — shared by fresh
-    runs and resumed ones."""
-    batch_emit = context.batch_emit
-    if recorder is not None:
-        recorder.attach(deployment.simulator, config.duration)
-    try:
-        with _stage(tracer, "simulate", stage_seconds,
-                    horizon=config.duration):
-            if manager is None:
-                deployment.simulator.run_until(config.duration)
-            else:
-                _simulate_with_checkpoints(
-                    config, registry, deployment, population, context,
-                    injector, manager, stage_seconds)
-    finally:
-        if recorder is not None:
-            recorder.detach(deployment.simulator)
-    if manager is not None:
-        # wall seconds spent on snapshots inside the simulate stage
-        # (included in the simulate figure above); the overhead budget
-        # keeps this share small
-        stage_seconds["checkpoint"] = manager.window_spent
-
-    if batch_emit:
-        # sessions only *resolved* during the run materialize now, one
-        # cross-session kernel call per scanner
-        with _stage(tracer, "flush_batches", stage_seconds):
-            context.flush_batches()
-
-    with _stage(tracer, "package_corpus", stage_seconds):
-        # batch runs package columns only — Packet objects materialize
-        # lazily if an analysis asks for them
-        packets_by = None if batch_emit else {
-            name: telescope.capture.packets()
-            for name, telescope in deployment.telescopes.items()}
-        corpus = PacketCorpus(
-            config=config,
-            packets_by_telescope=packets_by,
-            tables_by_telescope={
-                name: telescope.capture.table()
-                for name, telescope in deployment.telescopes.items()},
-            schedule=deployment.cycles(),
-            registry=registry,
-            resolver=deployment.resolver,
-            t1_prefix=T1_PREFIX,
-            t2_prefix=T2_PREFIX,
-            t3_prefix=T3_PREFIX,
-            t4_prefix=T4_PREFIX,
-            attractor_addr=deployment.productive.attractor_addr,
-            coverage_gaps={
-                name: tuple(telescope.capture.blackout_windows)
-                for name, telescope in deployment.telescopes.items()
-                if telescope.capture.blackout_windows})
-
-    return ExperimentResult(
-        corpus=corpus, deployment=deployment, population=population,
-        context=context, wall_seconds=_time.monotonic() - started,
-        stage_seconds=stage_seconds)
-
-
-def _simulate_with_checkpoints(config, registry, deployment, population,
-                               context, injector, manager,
-                               stage_seconds) -> None:
-    """Run to the horizon in checkpoint-interval chunks.
-
-    Chunking never reorders events — the queue's (time, seq) heap order
-    is global — so a checkpointed run executes the exact same event
-    sequence as a single ``run_until`` to the horizon. Snapshots land on
-    interval multiples; none is written at the horizon itself (the run
-    is already complete there).
-
-    Boundaries the overhead budget rejects are skipped (counted as
-    ``checkpoint.skipped_total``); a skip only thins the set of restart
-    points, never the event sequence.
-    """
-    simulator = deployment.simulator
-    duration = config.duration
-    interval = manager.interval
-    manager.begin_budget_window()
-    wall_start = _time.perf_counter()
-    while True:
-        boundary = interval * (math.floor(simulator.now / interval) + 1)
-        target = min(duration, boundary)
-        simulator.run_until(target)
-        if target >= duration:
-            return
-        if not manager.should_write(_time.perf_counter() - wall_start):
-            obs.add("checkpoint.skipped_total")
-            continue
-        _write_snapshot(config, registry, deployment, population,
-                        context, injector, manager, stage_seconds)
-
-
-def _write_snapshot(config, registry, deployment, population, context,
-                    injector, manager, stage_seconds) -> None:
-    """Persist the live graph plus the manager's resume metadata."""
-    with ckpt.pickling_guard(deployment):
-        state = ckpt.build_state(config, registry, deployment,
-                                 population, context, stage_seconds)
-        state["faults"] = injector
-        state["checkpoint_interval"] = manager.interval
-        state["checkpoint_keep"] = manager.keep
-        state["checkpoint_budget"] = manager.overhead_budget
-        state["checkpoint_last_cost"] = manager._last_cost
-        manager.write(state, deployment.simulator.now)
 
 
 def _register_rdns(deployment: Deployment, scanner: Scanner) -> None:

@@ -34,16 +34,15 @@ and ``tests/test_store_v2.py`` pin this with ``corpus_digest`` as the
 oracle.
 
 Workers are stateless: every task rebuilds its world from the picklable
-:class:`ShardTask`, so any process pool (fresh, reused, fork or spawn)
-executes it correctly, and a *retried* task re-executes byte-identically
-— the :class:`ShardSupervisor` (DESIGN §11) leans on exactly that:
-it detects crashed, hung, or pool-broken workers, retries them with
-bounded attempts and exponential backoff, and either raises a
-:class:`~repro.errors.ShardError` carrying the worker's captured stderr
-or quarantines the shard as coverage gaps (``on_shard_failure=
-"degrade"``). Completed shards are recorded in a crash-safe
-:class:`ShardManifest`, which is how a coordinator kill resumes by
-re-running only the missing shards.
+:class:`ShardTask`, so a *retried* task re-executes byte-identically —
+the :class:`ShardSupervisor` (DESIGN §11) leans on exactly that: it
+runs each shard as one supervised process, detects crashed or hung
+workers, retries them with bounded attempts and exponential backoff,
+and either raises a :class:`~repro.errors.ShardError` carrying the
+worker's captured stderr or quarantines the shard as coverage gaps
+(``on_shard_failure="degrade"``). Completed shards are recorded in a
+crash-safe :class:`ShardManifest`, which is how a coordinator kill
+resumes by re-running only the missing shards.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ import signal
 import sys
 import threading
 import time
-import traceback
-from concurrent.futures import (Executor, FIRST_COMPLETED,
-                                ProcessPoolExecutor, wait as futures_wait)
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -73,7 +69,8 @@ from repro.core.columnar import ChunkedPacketTable, PacketTable
 from repro.errors import ExperimentError, ShardError
 from repro.experiment.config import ExperimentConfig, RetryPolicy
 from repro.experiment.corpus import TELESCOPE_NAMES
-from repro.experiment.store import (DEFAULT_CHUNK_ROWS, open_table_chunks,
+from repro.experiment.store import (CHUNK_COLUMNS, DEFAULT_CHUNK_ROWS,
+                                    chunk_file, open_table_chunks,
                                     write_table_chunks)
 from repro.faults import FaultInjector, FaultPlan
 from repro.scanners.base import (ConstPackets, Scanner, ScannerContext,
@@ -314,7 +311,7 @@ class ShardTask:
     """Everything a worker needs to rebuild and run its shard.
 
     Deliberately limited to picklable, value-semantic fields so the task
-    crosses any process-pool boundary (fork or spawn) unchanged.
+    crosses the process boundary (fork or spawn) unchanged.
     """
 
     config: ExperimentConfig
@@ -347,8 +344,8 @@ class ShardTask:
     #: (``None``/0 = no periodic beats, only start/end records).
     heartbeat_interval: float | None = None
     #: pid of the coordinator — a worker only reconfigures process-wide
-    #: logging when it actually runs in a different process (the serial
-    #: fallback path executes tasks inside the coordinator).
+    #: logging when it actually runs in a different process (a direct
+    #: :func:`run_shard` call executes the task inside the caller).
     coordinator_pid: int = 0
     #: 1-based execution attempt, stamped by the supervisor on retries.
     #: Purely observational plus the gate for per-attempt process
@@ -380,9 +377,9 @@ def run_shard(task: ShardTask) -> dict:
     # telemetry spooling: the worker's own event log (stamped shard=i)
     # plus, at the end, its full span tree — the coordinator tails the
     # former live and merges the latter into the single campaign trace.
-    # The inherited process-wide event log (fork pool) or the live
-    # coordinator one (serial fallback) is saved and restored, never
-    # written to from shard code.
+    # The inherited process-wide event log (forked worker) or the
+    # caller's live one (direct in-process call) is saved and restored,
+    # never written to from shard code.
     previous_log = obsevents.current()
     event_log: obsevents.EventLog | None = None
     spooling = task.record_obs and task.obs_spool is not None
@@ -760,11 +757,10 @@ def merge_shard_traces(recorder, spool_dir: str | Path,
 #: File name of the completed-shards manifest inside a checkpoint dir.
 MANIFEST_NAME = "shards.json"
 
-#: File name of the sharded-run setup snapshot inside a checkpoint dir:
-#: the pickled ``(config, plan, num_shards)`` a resumed coordinator
-#: needs to re-derive the run deterministically (checkpoint file
-#: format — magic + sha256 + pickle). Its presence is how
-#: ``resume_experiment`` recognizes a sharded checkpoint directory.
+#: File name of the setup snapshot inside a checkpoint dir: the pickled
+#: ``(config, plan, num_shards)`` a resumed coordinator needs to
+#: re-derive the run deterministically (checkpoint file format — magic
+#: + sha256 + pickle, see :mod:`repro.experiment.checkpoint`).
 SETUP_NAME = "shards.setup.rpck"
 
 
@@ -852,9 +848,8 @@ class ShardManifest:
             for name, info in (result.get("segments") or {}).items():
                 chunk_dir = spill_root / f"shard{shard:03d}" / name
                 manifest = info.get("manifest") or []
-                if not all(
-                        (chunk_dir / f"{c['name']}.time.npy").exists()
-                        for c in manifest):
+                if not all(chunk_file(chunk_dir, c["name"], column).exists()
+                           for c in manifest for column in CHUNK_COLUMNS):
                     intact = False
                     break
                 segments[name] = dict(info, dir=str(chunk_dir))
@@ -903,27 +898,20 @@ class ShardSupervisor:
     """Run shard tasks under failure detection, bounded retry, and
     graceful degradation (DESIGN §11).
 
-    Two backends share one policy engine:
+    Every shard runs as one supervised ``multiprocessing.Process``. The
+    supervisor polls for exits (a missing result file or nonzero
+    exitcode is a failure, with the worker's captured stderr tail as
+    the diagnosis) and enforces per-shard wall-clock timeouts derived
+    from the LPT cost model — a shard whose telemetry spool stops
+    growing for its budget is declared hung and SIGKILLed. Workers arm
+    ``PR_SET_PDEATHSIG`` so a SIGKILLed coordinator cannot leak
+    orphans into a spill directory a resumed run will reuse.
+    ``runner`` is the function the worker process executes (tests
+    substitute fakes).
 
-    - **process backend** (default, ``executor=None``): one supervised
-      ``multiprocessing.Process`` per shard. The supervisor polls for
-      exits (a missing result file or nonzero exitcode is a failure,
-      with the worker's captured stderr tail as the diagnosis) and
-      enforces per-shard wall-clock timeouts derived from the LPT cost
-      model — a shard whose telemetry spool stops growing for its
-      budget is declared hung and SIGKILLed. Workers arm
-      ``PR_SET_PDEATHSIG`` so a SIGKILLed coordinator cannot leak
-      orphans into a spill directory a resumed run will reuse.
-    - **executor backend** (an injected pool): failures surface as
-      future exceptions (including ``BrokenProcessPool``, which breaks
-      the pool permanently — later attempts run serially in the
-      coordinator). Hang timeouts are not enforced here: a pool gives
-      no handle to kill one worker.
-
-    Either way a failed shard is retried up to
-    ``policy.max_attempts`` times with exponential backoff, its spill
-    and telemetry remnants wiped first so the re-execution is
-    byte-identical to a first try. A shard that exhausts its budget
+    A failed shard is retried up to ``policy.max_attempts`` times with
+    exponential backoff, its spill and telemetry remnants wiped first
+    so the re-execution is byte-identical to a first try. A shard that exhausts its budget
     raises :class:`~repro.errors.ShardError` (strict) or is quarantined
     (``on_failure="degrade"``) for the driver to turn into coverage
     gaps. Progress is narrated as ``shard.retry`` / ``shard.timeout`` /
@@ -935,21 +923,17 @@ class ShardSupervisor:
                  policy: "RetryPolicy | Mapping | None" = None,
                  timeouts: Mapping[int, float] | None = None,
                  on_failure: str = "raise",
-                 executor: Executor | None = None,
                  tailer: SpoolTailer | None = None,
                  completed: Mapping[int, dict] | None = None,
                  on_complete: "Callable[[int, dict], None] | None" = None,
                  runner: "Callable[[ShardTask], dict]" = run_shard,
-                 max_workers: int | None = None,
                  poll_interval: float = 0.05) -> None:
         self.policy = RetryPolicy.of(policy)
         self.timeouts = dict(timeouts) if timeouts is not None else None
         self.on_failure = on_failure
-        self.executor = executor
         self.tailer = tailer
         self.on_complete = on_complete
         self.runner = runner
-        self.max_workers = max_workers or len(tasks) or 1
         self.poll_interval = poll_interval
         self.retries = 0
         self.quarantined: list[int] = []
@@ -969,8 +953,6 @@ class ShardSupervisor:
                 f"got {sorted(map(str, spills))}")
         self.spill_dir = spills.pop()
 
-    # -- shared bookkeeping ------------------------------------------------
-
     def run(self) -> list[dict | None]:
         """Execute every shard; results in shard order (None =
         quarantined)."""
@@ -981,10 +963,7 @@ class ShardSupervisor:
                 obsevents.emit("shard.skipped", shard=shard)
         pending = [s for s in self._states.values() if not s.done]
         if pending:
-            if self.executor is not None:
-                self._run_executor(pending)
-            else:
-                self._run_processes(pending)
+            self._run_processes(pending)
         return [state.result
                 for _, state in sorted(self._states.items())]
 
@@ -1077,8 +1056,6 @@ class ShardSupervisor:
                 proc.join()
             state.process = None
 
-    # -- process backend ---------------------------------------------------
-
     def _launch(self, state: _ShardState) -> None:
         shard = state.task.shard
         state.attempt += 1
@@ -1143,24 +1120,17 @@ class ShardSupervisor:
                    _stderr_tail(self._stderr_path(state.task.shard)))
 
     def _run_processes(self, pending: list[_ShardState]) -> None:
-        states = pending
         try:
             while True:
                 now = time.monotonic()
-                active = [s for s in states if not s.done]
+                active = [s for s in pending if not s.done]
                 if not active:
                     return
-                running = [s for s in active if s.process is not None]
                 for state in active:
-                    if state.process is not None \
-                            or state.not_before > now:
-                        continue
-                    if len(running) >= self.max_workers:
-                        break
-                    self._launch(state)
-                    running.append(state)
+                    if state.process is None and state.not_before <= now:
+                        self._launch(state)
                 moved = False
-                for state in running:
+                for state in active:
                     proc = state.process
                     if proc is None:
                         continue
@@ -1196,100 +1166,11 @@ class ShardSupervisor:
         state.process = None
         self._fail(state, "timeout")
 
-    # -- executor backend --------------------------------------------------
-
-    def _run_executor(self, pending: list[_ShardState]) -> None:
-        pool_broken = False
-
-        def submit(state: _ShardState):
-            nonlocal pool_broken
-            state.attempt += 1
-            task = replace(state.task, attempt=state.attempt)
-            if not pool_broken and state.attempt < self.policy.max_attempts \
-                    or state.attempt == 1:
-                try:
-                    return self.executor.submit(self.runner, task)
-                except Exception as exc:
-                    pool_broken = True
-                    self._fail(state, f"{type(exc).__name__}: {exc}")
-                    return None
-            # last-resort attempt: run the shard inside the coordinator
-            # (slower, never wrong) — mirrors fan_out's serial fallback
-            obs.add("sharding.serial_fallbacks_total")
-            _log.warning("shard %d attempt %d running serially in the "
-                         "coordinator", state.task.shard, state.attempt)
-            try:
-                self._succeed(state, self.runner(task))
-            except Exception:
-                self._fail(state, "serial execution failed",
-                           traceback.format_exc(limit=16).strip())
-            return None
-
-        futures: dict = {}
-        for state in pending:
-            future = submit(state)
-            if future is not None:
-                futures[future] = state
-        while futures or any(not s.done for s in pending):
-            if not futures:
-                # every remaining shard is between attempts
-                for state in pending:
-                    if not state.done:
-                        self._await_backoff(state)
-                        future = submit(state)
-                        if future is not None:
-                            futures[future] = state
-                continue
-            done, _ = futures_wait(list(futures),
-                                   return_when=FIRST_COMPLETED)
-            for future in done:
-                state = futures.pop(future)
-                try:
-                    self._succeed(state, future.result())
-                    continue
-                except ShardError:
-                    raise
-                except Exception as exc:
-                    cause = type(exc).__name__
-                    if "Broken" in cause:
-                        pool_broken = True
-                    detail = "".join(traceback.format_exception(
-                        exc)).strip()
-                    self._fail(state, cause, detail[-2048:])
-                if not state.done:
-                    self._await_backoff(state)
-                    future = submit(state)
-                    if future is not None:
-                        futures[future] = state
-
-    @staticmethod
-    def _await_backoff(state: _ShardState) -> None:
-        remaining = state.not_before - time.monotonic()
-        if remaining > 0:
-            time.sleep(remaining)
-
-
-def shard_pool(max_workers: int) -> ProcessPoolExecutor:
-    """Process pool for shard workers.
-
-    Prefers the fork start method (POSIX): workers inherit the parent's
-    imported modules copy-on-write, so task startup is milliseconds
-    instead of a fresh interpreter boot. Workers rebuild all *run* state
-    from the task itself, so the pool is safely reusable across calls —
-    hand it to :func:`repro.analysis.parallel.fan_out` or
-    ``run_experiment(shard_executor=...)`` as often as needed.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-    return ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
-
 
 def run_shards(config: ExperimentConfig,
                plan: FaultPlan | None,
                num_shards: int,
                spill_dir: str | Path,
-               executor: Executor | None = None,
                feed: tuple[CollectorEntry, ...] | None = None,
                record_obs: bool = True,
                obs_spool: str | Path | None = None,
@@ -1308,13 +1189,12 @@ def run_shards(config: ExperimentConfig,
     :class:`ShardTask`); start a :class:`SpoolTailer` over the same
     directory to consume it live and pass it in as ``tailer`` so a
     retried shard's live-folded counters reset cleanly. All execution
-    goes through the :class:`ShardSupervisor` — by default its process
-    backend (one supervised worker process per shard, crash/hang
-    detection and bounded retries per ``config.retry_policy``);
-    ``executor`` switches to the injected-pool backend. ``completed``
-    pre-seeds manifest-restored shards (skipped, not re-run) and
-    ``on_complete`` fires per fresh completion (the driver records the
-    manifest there). A quarantined shard's slot holds ``None``.
+    goes through the :class:`ShardSupervisor` (one supervised worker
+    process per shard, crash/hang detection and bounded retries per
+    ``config.retry_policy``). ``completed`` pre-seeds manifest-restored
+    shards (skipped, not re-run) and ``on_complete`` fires per fresh
+    completion (the driver records the manifest there). A quarantined
+    shard's slot holds ``None``.
     """
     tasks = {
         index: ShardTask(
@@ -1327,7 +1207,7 @@ def run_shards(config: ExperimentConfig,
         for index in range(num_shards)}
     supervisor = ShardSupervisor(
         tasks, policy=config.retry_policy, timeouts=timeouts,
-        on_failure=config.on_shard_failure, executor=executor,
+        on_failure=config.on_shard_failure,
         tailer=tailer, completed=completed, on_complete=on_complete)
     ordered = supervisor.run()
     for res in ordered:

@@ -221,9 +221,8 @@ class FaultPlan:
 class FaultInjector:
     """Wires a :class:`FaultPlan` into a built deployment.
 
-    The injector is part of the simulated world once installed (its flap
-    and marker callbacks sit in the event queue), so it is picklable and
-    checkpoints transparently with the rest of the run.
+    Once installed, its flap and marker callbacks sit in the event
+    queue of the deployment's simulator.
     """
 
     plan: FaultPlan
@@ -292,8 +291,9 @@ class FaultInjector:
         faults target the worker's own process, and must re-arm (or not)
         per attempt. Faults for other shards, attempts past the fault's
         ``max_attempt``, or a worker that is actually the coordinator
-        (serial fallback runs the shard body in-process, where a
-        self-SIGKILL would take down the whole run) are skipped.
+        (a direct in-process :func:`~repro.experiment.sharding.run_shard`
+        call, where a self-SIGKILL would take down the caller) are
+        skipped.
         Returns the number of faults armed. Arming draws no RNG and
         the trigger fires strictly at its scheduled sim time, so a
         surviving attempt's output is byte-identical to an unfaulted

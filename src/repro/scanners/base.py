@@ -57,9 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class ConstPackets:
     """Session-size sampler returning a constant count.
 
-    Scanner callbacks and samplers must be picklable (no lambdas) so a
-    live experiment can be checkpointed mid-run; these small callable
-    dataclasses replace the obvious closures.
+    A small callable dataclass instead of the obvious closure, so the
+    sharding cost model (:func:`repro.experiment.sharding.
+    scanner_weight`) can read the session size it draws.
     """
 
     n: int

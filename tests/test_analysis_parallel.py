@@ -1,8 +1,6 @@
 """Tests for repro.analysis.parallel (fan-out with bounded retry)."""
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import pytest
 
@@ -10,11 +8,6 @@ from repro import obs
 from repro.analysis import parallel
 from repro.analysis.parallel import fan_out
 from repro.errors import AnalysisError
-
-
-def _square(x: int) -> int:
-    """Module-level so a process pool can pickle it."""
-    return x * x
 
 
 @pytest.fixture(autouse=True)
@@ -97,33 +90,3 @@ class TestFanOut:
         # initial try + in-pool retry + serial fallback
         assert calls.count("doomed") == 3
 
-
-class TestInjectedExecutor:
-    def test_injected_thread_pool_is_reused_not_shut_down(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            first = fan_out({"a": lambda: 1, "b": lambda: 2},
-                            jobs=2, executor=pool)
-            second = fan_out({"c": lambda: 3}, jobs=2, executor=pool)
-            # the injected pool must still accept work afterwards
-            assert pool.submit(_square, 3).result() == 9
-        assert [r for _, r in first.values()] == [1, 2]
-        assert second["c"][1] == 3
-
-    def test_injected_process_pool_runs_picklable_tasks(self):
-        from repro.experiment.sharding import shard_pool
-        pool = shard_pool(2)
-        try:
-            tasks = {f"sq{i}": partial(_square, i) for i in range(4)}
-            results = fan_out(tasks, jobs=2, executor=pool)
-            assert [results[f"sq{i}"][1] for i in range(4)] == [0, 1, 4, 9]
-            # second fan-out over the same pool: no respawn, same workers
-            again = fan_out({"sq5": partial(_square, 5)},
-                            jobs=2, executor=pool)
-            assert again["sq5"][1] == 25
-        finally:
-            pool.shutdown(wait=True)
-
-    def test_injected_executor_used_even_for_single_task(self):
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            results = fan_out({"only": lambda: 42}, jobs=1, executor=pool)
-        assert results["only"][1] == 42

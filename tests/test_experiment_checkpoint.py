@@ -1,33 +1,30 @@
-"""Tests for repro.experiment.checkpoint (crash-safe snapshots)."""
+"""Tests for repro.experiment.checkpoint (crash-safe state files) and
+the checkpointed run they make resumable.
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+Kill-and-resume proofs live with the other shard-level chaos tests in
+``tests/test_shard_supervision.py::TestCoordinatorKillResume``.
+"""
 
 import pytest
 
-from repro import obs
 from repro.errors import CheckpointError
 from repro.experiment import ExperimentConfig, run_experiment
-from repro.experiment.checkpoint import (CheckpointManager, MAGIC,
-                                         latest_checkpoint,
-                                         list_checkpoints, read_checkpoint,
-                                         write_checkpoint)
+from repro.experiment import sharding
+from repro.experiment.checkpoint import read_checkpoint, write_state
 from repro.experiment.driver import resume_experiment
 from repro.experiment.store import corpus_digest
 
-STATE = {"format_version": 1, "sim_time": 0.0, "payload": list(range(64))}
+STATE = {"format_version": 1, "payload": list(range(64))}
 
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
-        path = write_checkpoint(tmp_path, STATE, sim_time=3600.0)
-        assert path.name == "ckpt_000000000003600.rpck"
+        path = write_state(tmp_path / "state.rpck", STATE)
+        assert path == tmp_path / "state.rpck"
         assert read_checkpoint(path) == STATE
 
     def test_no_tmp_residue(self, tmp_path):
-        write_checkpoint(tmp_path, STATE, sim_time=1.0)
+        write_state(tmp_path / "state.rpck", STATE)
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_missing_file(self, tmp_path):
@@ -36,7 +33,7 @@ class TestFileFormat:
         assert exc_info.value.check == "exists"
 
     def test_truncated_file(self, tmp_path):
-        path = write_checkpoint(tmp_path, STATE, sim_time=1.0)
+        path = write_state(tmp_path / "state.rpck", STATE)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError) as exc_info:
@@ -45,7 +42,7 @@ class TestFileFormat:
         assert exc_info.value.path == path
 
     def test_bit_flip_detected(self, tmp_path):
-        path = write_checkpoint(tmp_path, STATE, sim_time=1.0)
+        path = write_state(tmp_path / "state.rpck", STATE)
         blob = bytearray(path.read_bytes())
         blob[-10] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -54,169 +51,34 @@ class TestFileFormat:
         assert exc_info.value.check == "sha256"
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "ckpt_000000000000001.rpck"
+        path = tmp_path / "state.rpck"
         path.write_bytes(b"X" * 64)
         with pytest.raises(CheckpointError) as exc_info:
             read_checkpoint(path)
         assert exc_info.value.check == "magic"
 
     def test_unsupported_format_version(self, tmp_path):
-        path = write_checkpoint(tmp_path, {"format_version": 99},
-                                sim_time=1.0)
+        path = write_state(tmp_path / "state.rpck", {"format_version": 99})
         with pytest.raises(CheckpointError) as exc_info:
             read_checkpoint(path)
         assert exc_info.value.check == "format_version"
 
 
-class TestLatest:
-    def test_empty_directory(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            latest_checkpoint(tmp_path)
-
-    def test_picks_newest(self, tmp_path):
-        write_checkpoint(tmp_path, dict(STATE, sim_time=1.0), sim_time=1.0)
-        write_checkpoint(tmp_path, dict(STATE, sim_time=2.0), sim_time=2.0)
-        path, state = latest_checkpoint(tmp_path)
-        assert state["sim_time"] == 2.0
-
-    def test_skips_corrupt_newest(self, tmp_path):
-        write_checkpoint(tmp_path, dict(STATE, sim_time=1.0), sim_time=1.0)
-        newest = write_checkpoint(tmp_path, dict(STATE, sim_time=2.0),
-                                  sim_time=2.0)
-        newest.write_bytes(MAGIC + b"\0" * 40)
-        path, state = latest_checkpoint(tmp_path)
-        assert state["sim_time"] == 1.0
-
-    def test_all_corrupt(self, tmp_path):
-        path = write_checkpoint(tmp_path, STATE, sim_time=1.0)
-        path.write_bytes(b"junk")
-        with pytest.raises(CheckpointError):
-            latest_checkpoint(tmp_path)
-
-
-class TestManager:
-    def test_retention_sweep(self, tmp_path):
-        manager = CheckpointManager(tmp_path, interval=10.0, keep=2)
-        for t in (10.0, 20.0, 30.0, 40.0):
-            manager.write(dict(STATE, sim_time=t), sim_time=t)
-        names = [p.name for p in list_checkpoints(tmp_path)]
-        assert names == ["ckpt_000000000000030.rpck",
-                         "ckpt_000000000000040.rpck"]
-        assert manager.written == 4
-
-    def test_after_write_hook(self, tmp_path):
-        seen = []
-        manager = CheckpointManager(tmp_path, interval=10.0,
-                                    after_write=seen.append)
-        manager.write(STATE, sim_time=10.0)
-        assert seen == [tmp_path / "ckpt_000000000000010.rpck"]
-
-    def test_invalid_interval(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            CheckpointManager(tmp_path, interval=0.0)
-        with pytest.raises(CheckpointError):
-            CheckpointManager(tmp_path, interval=10.0, keep=0)
-
-
-class TestOverheadBudget:
-    def test_disabled_budget_always_writes(self, tmp_path):
-        manager = CheckpointManager(tmp_path, interval=10.0)
-        assert manager.overhead_budget is None
-        assert manager.should_write(0.0)
-
-    def test_first_write_is_mandatory(self, tmp_path):
-        manager = CheckpointManager(tmp_path, interval=10.0,
-                                    overhead_budget=0.05)
-        assert manager.should_write(0.0)
-
-    def test_over_budget_boundary_is_skipped(self, tmp_path):
-        manager = CheckpointManager(tmp_path, interval=10.0,
-                                    overhead_budget=0.05)
-        manager.write(STATE, sim_time=10.0)
-        cost = manager.spent_seconds
-        assert cost > 0.0
-        # right after a write the projected overhead is ~2x cost, far
-        # above half the budget for any comparable elapsed time
-        assert not manager.should_write(cost)
-        # once enough wall time has passed, writing fits the budget again
-        assert manager.should_write(2 * cost / (0.5 * 0.05))
-
-    def test_budgeted_run_skips_but_stays_correct(self, tmp_path,
-                                                  tiny_result):
-        """A tight budget thins checkpoints without touching the corpus."""
-        config = ExperimentConfig.tiny()
-        with obs.FlightRecorder() as recorder:
-            result = run_experiment(config, checkpoint_dir=tmp_path,
-                                    checkpoint_interval=config.duration / 64,
-                                    checkpoint_budget=0.05)
-        assert corpus_digest(result.corpus) \
-            == corpus_digest(tiny_result.corpus)
-        counters = recorder.metrics.snapshot()["counters"]
-        written = counters["checkpoint.writes_total"]
-        skipped = counters.get("checkpoint.skipped_total", 0)
-        assert written >= 1  # the pre-simulate setup snapshot at least
-        assert skipped > 0
-        # 63 in-simulate boundaries visited + the setup snapshot
-        assert written + skipped == 64
-        # the budget held: snapshot time inside simulate stayed under 5%
-        simulate = result.stage_seconds["simulate"]
-        overhead = result.stage_seconds["checkpoint"]
-        assert overhead <= 0.05 * max(simulate - overhead, 1e-9)
-
-
 class TestCheckpointedRun:
     def test_checkpointing_does_not_change_corpus(self, tmp_path,
                                                   tiny_result):
-        config = ExperimentConfig.tiny()
-        result = run_experiment(config, checkpoint_dir=tmp_path,
-                                checkpoint_interval=config.duration / 4,
-                                checkpoint_budget=None)
+        """Without ``shards`` a checkpointed run is a one-shard build
+        whose corpus equals the unsharded one."""
+        result = run_experiment(ExperimentConfig.tiny(),
+                                checkpoint_dir=tmp_path)
         assert corpus_digest(result.corpus) \
             == corpus_digest(tiny_result.corpus)
-        assert list_checkpoints(tmp_path)
+        assert len(result.shard_stats) == 1
+        setup = read_checkpoint(tmp_path / sharding.SETUP_NAME)
+        assert setup["num_shards"] == 1
+        manifest = sharding.ShardManifest.open(tmp_path, 1)
+        assert set(manifest.completed) == {0}
 
     def test_resume_without_checkpoints_fails(self, tmp_path):
         with pytest.raises(CheckpointError):
             resume_experiment(tmp_path)
-
-
-_KILLED_CHILD = """
-import os, sys
-sys.path.insert(0, {src!r})
-from repro.experiment import ExperimentConfig, run_experiment
-
-count = 0
-def die_at_second(path):
-    global count
-    count += 1
-    if count == 2:
-        os._exit(9)   # hard kill: no atexit, no cleanup, mid-simulate
-
-run_experiment(ExperimentConfig.tiny(), checkpoint_dir=sys.argv[1],
-               checkpoint_interval=float(sys.argv[2]),
-               checkpoint_budget=None, after_checkpoint=die_at_second)
-os._exit(0)
-"""
-
-
-class TestKillResume:
-    def test_killed_process_resumes_byte_identical(self, tmp_path,
-                                                   tiny_result):
-        """Hard-kill a run mid-simulate, resume it, compare corpora."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        config = ExperimentConfig.tiny()
-        interval = config.duration / 5
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILLED_CHILD.format(src=src),
-             str(tmp_path), str(interval)],
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 9, proc.stderr
-        survivors = list_checkpoints(tmp_path)
-        assert survivors, "killed run left no checkpoint behind"
-
-        resumed = resume_experiment(tmp_path)
-        assert resumed.deployment.simulator.now == config.duration
-        assert corpus_digest(resumed.corpus) \
-            == corpus_digest(tiny_result.corpus)
-        # resume kept checkpointing at the original cadence
-        assert len(list_checkpoints(tmp_path)) >= len(survivors)

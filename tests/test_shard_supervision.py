@@ -301,30 +301,6 @@ class TestExhaustion:
         assert stats[1] == {"shard": 1, "quarantined": True}
 
 
-@pytest.mark.chaos
-class TestExecutorBackend:
-    """Injected-pool backend: BrokenProcessPool is survivable + typed."""
-
-    def test_broken_pool_recovers_serially(self, tiny_result):
-        config = replace(ExperimentConfig.tiny(), retry_policy=FAST_RETRY)
-        with obs.FlightRecorder() as recorder:
-            with sharding.shard_pool(2) as pool:
-                result = run_experiment(config, faults=_kill_plan(shard=0),
-                                        shards=2, shard_executor=pool)
-        assert _digest(result) == _digest(tiny_result)
-        counters = recorder.metrics.snapshot()["counters"]
-        assert counters["sharding.serial_fallbacks_total"] >= 1
-
-    def test_pool_failure_is_wrapped_as_shard_error(self):
-        config = replace(ExperimentConfig.tiny(),
-                         retry_policy={"max_attempts": 1})
-        with sharding.shard_pool(2) as pool:
-            with pytest.raises(ShardError) as exc_info:
-                run_experiment(config, faults=_kill_plan(shard=0),
-                               shards=2, shard_executor=pool)
-        assert "Broken" in exc_info.value.cause
-
-
 # -- chaos integration: coordinator SIGKILL + shard-granular resume --------
 
 
@@ -332,6 +308,7 @@ _COORD_KILLED_CHILD = """
 import os, sys
 sys.path.insert(0, {src!r})
 from repro.experiment import ExperimentConfig, run_experiment
+from repro.experiment import sharding
 
 count = 0
 def die_after(path):
@@ -340,28 +317,40 @@ def die_after(path):
     if count == {die_at}:
         os._exit(9)   # hard kill: no atexit, workers reaped via PDEATHSIG
 
+if {before_record}:
+    # die once a shard's spill is on disk but before the manifest
+    # records it complete
+    sharding.ShardManifest.record = lambda self, shard, result: os._exit(9)
+
 run_experiment(ExperimentConfig.tiny(), shards={shards},
                checkpoint_dir=sys.argv[1], after_checkpoint=die_after)
 os._exit(0)
 """
 
 
+def _kill_coordinator(tmp_path, shards, die_at=0, before_record=False):
+    """Run a checkpointed tiny campaign in a child that hard-exits."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _COORD_KILLED_CHILD.format(src=src, shards=shards, die_at=die_at,
+                                    before_record=before_record),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 9, proc.stderr
+
+
 @pytest.mark.chaos
 class TestCoordinatorKillResume:
     """SIGKILL the coordinator mid-fan-out; resume re-runs only the
-    missing shards and the corpus stays byte-identical (ISSUE AC)."""
+    missing shards and the corpus stays byte-identical."""
 
-    @pytest.mark.parametrize("num_shards,die_at", [(2, 1), (4, 2)])
+    @pytest.mark.parametrize("shards,die_at", [(None, 1), (2, 1), (4, 2)])
     def test_resume_is_byte_identical(self, tmp_path, tiny_result,
-                                      num_shards, die_at):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             _COORD_KILLED_CHILD.format(src=src, shards=num_shards,
-                                        die_at=die_at),
-             str(tmp_path)],
-            capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 9, proc.stderr
+                                      shards, die_at):
+        # shards=None is the default checkpointed run: one shard
+        _kill_coordinator(tmp_path, shards, die_at=die_at)
+        num_shards = shards or 1
 
         manifest = sharding.ShardManifest.open(tmp_path, num_shards)
         survivors = set(manifest.completed)
@@ -378,3 +367,21 @@ class TestCoordinatorKillResume:
         fresh = {s["shard"] for s in resumed.shard_stats
                  if not s.get("restored")}
         assert fresh == set(range(num_shards)) - survivors
+
+    def test_kill_before_manifest_record_reruns_stale_shard(
+            self, tmp_path, tiny_result):
+        """Killed between a shard's spill and its manifest record, the
+        shard is not trusted: resume re-runs it over the stale spill."""
+        _kill_coordinator(tmp_path, None, before_record=True)
+        spill = tmp_path / "shards"
+        assert (spill / "shard000.result.json").exists()
+        assert (spill / "shard000").is_dir()
+        assert not sharding.ShardManifest.open(tmp_path, 1).completed
+
+        resumed = resume_experiment(tmp_path)
+        assert _digest(resumed) == _digest(tiny_result)
+        [stats] = resumed.shard_stats
+        assert not stats.get("restored")
+        assert stats["attempts"] == 1
+        assert set(sharding.ShardManifest.open(tmp_path, 1).completed) \
+            == {0}

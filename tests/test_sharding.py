@@ -173,21 +173,10 @@ class TestWeightedAssignment:
             weighted_assignment(self._population(), 0, self.DURATION)
 
 
-@pytest.fixture(scope="module")
-def worker_pool():
-    """One process pool shared by every sharded run in this module —
-    exercises the pool-reuse path the CLI and benches rely on."""
-    pool = sharding.shard_pool(4)
-    yield pool
-    pool.shutdown(wait=True)
-
-
 class TestDigestParity:
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
-    def test_sharded_build_is_byte_identical(self, tiny_result, num_shards,
-                                             worker_pool):
-        result = run_experiment(ExperimentConfig.tiny(), shards=num_shards,
-                                shard_executor=worker_pool)
+    def test_sharded_build_is_byte_identical(self, tiny_result, num_shards):
+        result = run_experiment(ExperimentConfig.tiny(), shards=num_shards)
         assert corpus_digest(result.corpus) \
             == corpus_digest(tiny_result.corpus)
         assert result.corpus.total_packets() \
@@ -209,8 +198,7 @@ class TestDigestParity:
             assert {"simulate", "flush_batches"} \
                 <= set(stats["stage_cpu_seconds"])
 
-    def test_faulted_sharded_build_is_byte_identical(self, tiny_result,
-                                                     worker_pool):
+    def test_faulted_sharded_build_is_byte_identical(self, tiny_result):
         config = ExperimentConfig.tiny()
         plan = FaultPlan(
             blackouts=(BlackoutWindow("T1", config.duration * 0.2,
@@ -219,17 +207,16 @@ class TestDigestParity:
             loss_rate=0.01)
         base = run_experiment(ExperimentConfig.tiny(), faults=plan)
         shd = run_experiment(ExperimentConfig.tiny(), faults=plan,
-                             shards=3, shard_executor=worker_pool)
+                             shards=3)
         assert corpus_digest(shd.corpus) == corpus_digest(base.corpus)
         assert shd.corpus.coverage_gaps == base.corpus.coverage_gaps
         # faults really bit: fewer packets than the clean tiny corpus
         assert shd.corpus.total_packets() \
             < tiny_result.corpus.total_packets()
 
-    def test_worker_metrics_fold_into_coordinator(self, worker_pool):
+    def test_worker_metrics_fold_into_coordinator(self):
         with obs.FlightRecorder() as recorder:
-            run_experiment(ExperimentConfig.tiny(), shards=2,
-                           shard_executor=worker_pool)
+            run_experiment(ExperimentConfig.tiny(), shards=2)
         snapshot = recorder.metrics.snapshot()
         sharded_counters = [key for key in snapshot["counters"]
                             if "shard=" in key]
@@ -246,13 +233,12 @@ class TestDistributedTelemetry:
     NUM_SHARDS = 4
 
     @pytest.fixture()
-    def telemetry_run(self, tmp_path, worker_pool):
+    def telemetry_run(self, tmp_path):
         from repro.obs import events as obsevents
         with obs.FlightRecorder() as recorder, \
                 obsevents.EventLog(tmp_path / "events.jsonl",
                                    run_id="telemetry") as log:
-            run_experiment(ExperimentConfig.tiny(), shards=self.NUM_SHARDS,
-                           shard_executor=worker_pool)
+            run_experiment(ExperimentConfig.tiny(), shards=self.NUM_SHARDS)
         return recorder, log
 
     def test_merged_trace_labels_every_shard(self, telemetry_run):
@@ -311,7 +297,7 @@ class TestDistributedTelemetry:
                        if e["kind"] == "shard.start"}
         assert os.getpid() not in worker_pids
 
-    def test_live_fold_equals_snapshot_fold(self, tmp_path, worker_pool):
+    def test_live_fold_equals_snapshot_fold(self, tmp_path):
         """Live metric-delta streaming must not double count.
 
         The same sharded build is run twice: once with an event log
@@ -325,11 +311,9 @@ class TestDistributedTelemetry:
             with obs.FlightRecorder() as recorder:
                 if with_event_log:
                     with obsevents.EventLog(tmp_path / "fold.jsonl"):
-                        run_experiment(ExperimentConfig.tiny(), shards=2,
-                                       shard_executor=worker_pool)
+                        run_experiment(ExperimentConfig.tiny(), shards=2)
                 else:
-                    run_experiment(ExperimentConfig.tiny(), shards=2,
-                                   shard_executor=worker_pool)
+                    run_experiment(ExperimentConfig.tiny(), shards=2)
             return {key: value for key, value
                     in recorder.metrics.snapshot()["counters"].items()
                     if "shard=" in key}
@@ -356,6 +340,12 @@ class TestShardingGuards:
         restored = manifest.restorable(tmp_path / "shards")
         assert set(restored) == {0, 1}
         assert all(r["restored"] for r in restored.values())
+        # a spill missing any column file is not restorable: that shard
+        # re-runs on resume instead of failing the merge
+        victim = sorted((tmp_path / "shards" / "shard000" / "T1")
+                        .glob("*.proto.npy"))[0]
+        victim.unlink()
+        assert set(manifest.restorable(tmp_path / "shards")) == {1}
 
     def test_legacy_emission_is_rejected(self):
         config = ExperimentConfig.tiny()

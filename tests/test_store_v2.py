@@ -8,7 +8,6 @@ chunks readable.
 
 import json
 import math
-import time
 import warnings
 
 import numpy as np
@@ -250,27 +249,38 @@ class TestObservability:
 
 @pytest.mark.overhead
 class TestColdAnalysisOverhead:
-    def test_v2_cold_analysis_within_5pct_of_v1(self, stores):
-        """A cold full-corpus analysis over the lazy v2 store must stay
-        within 5% of the v1 eager load (plus an absolute floor so tiny
-        timing jitter cannot flake the guard)."""
+    """Cold v2 analysis does the v1 work plus one verified read of the
+    store — no more. Asserted on deterministic work counters; the
+    wall-clock bound (v2 within ``1.05 x v1 + 0.05s``) is an
+    interleaved min-of-N gate in ``benchmarks/bench_store_oocore.py``,
+    where it can be measured robustly."""
 
-        def cold(path):
-            def run():
-                analysis = CorpusAnalysis(load_corpus(path))
-                return table2(analysis)
-            return run
-
-        best = {}
+    def test_v2_cold_table2_work_matches_manifest(self, stores):
+        results = {}
+        snapshots = {}
         for name in ("v1", "v2"):
-            runner = cold(stores / name)
-            runner()  # warm the page cache and allocator
-            best[name] = min(
-                _timed(runner) for _ in range(3))
-        assert best["v2"] <= 1.05 * best["v1"] + 0.05
+            with obs.FlightRecorder() as recorder:
+                results[name] = table2(
+                    CorpusAnalysis(load_corpus(stores / name)))
+            snapshots[name] = recorder.metrics.snapshot()
+        assert results["v2"].packets == results["v1"].packets
+        assert results["v2"].sessions == results["v1"].sessions
+        assert results["v2"].sources == results["v1"].sources
+        # v1 loads eagerly: it has no chunks to open
+        assert not any(key.startswith("store.chunks_opened_total")
+                       for key in snapshots["v1"]["counters"])
 
-
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
+        chunks = json.loads((stores / "v2" / "meta.json").read_text())[
+            "store"]["chunks"]
+        counters = snapshots["v2"]["counters"]
+        gauges = snapshots["v2"]["gauges"]
+        for telescope, entries in chunks.items():
+            label = f"{{telescope={telescope}}}"
+            # every chunk opened and verified exactly once, and the
+            # mapped bytes are exactly the manifest's
+            assert counters.get(f"store.chunks_opened_total{label}", 0) \
+                == len(entries), telescope
+            assert counters.get(f"store.chunks_verified_total{label}", 0) \
+                == len(entries), telescope
+            assert gauges.get(f"store.bytes_mapped{label}", 0) \
+                == sum(entry["bytes"] for entry in entries), telescope
